@@ -30,6 +30,8 @@
 #include <cstring>
 #include <vector>
 
+#include "common/check.hpp"
+
 namespace ltnc {
 
 class WordArena {
@@ -92,25 +94,49 @@ class WordArena {
   Stats stats_;
 };
 
-/// A leased limb array: the storage type under BitVector and Payload.
-/// Move transfers the lease; copy takes a fresh lease and memcpys. The
-/// logical word count is fixed at construction.
+/// A limb array: the storage type under BitVector, Payload and
+/// wire::Frame. Arrays of at most kInlineWords limbs live inside the
+/// object itself; longer ones lease a block from the thread-local arena.
+/// At k ≤ 128 a code vector, a ≤ 16 B payload and a small feedback frame
+/// therefore cost no heap block at all — the per-node footprint of a
+/// large simulated fleet is mostly such vectors. Move transfers a lease
+/// (or copies the inline limbs); copy takes a fresh lease and memcpys.
+/// The logical word count is fixed at construction.
+///
+/// Pointer stability: data() of an inline buffer points into the object,
+/// so it moves with the object (a move, a swap, a vector reallocation).
+/// Only a leased buffer's data() survives a move of its owner. The SIMD
+/// kernels use unaligned loads, so inline limbs (8-byte aligned) and
+/// 64-byte-aligned leased blocks are interchangeable to them.
 class WordBuf {
  public:
+  static constexpr std::size_t kInlineWords = 2;
+
   WordBuf() = default;
 
-  /// Leases `words` zero-filled limbs from the thread-local arena.
+  /// `words` zero-filled limbs: inline, or leased from the thread-local
+  /// arena past kInlineWords.
   explicit WordBuf(std::size_t words)
-      : ptr_(WordArena::local().lease(words)), words_(words) {}
-
-  WordBuf(const WordBuf& other)
-      : ptr_(WordArena::local().lease_uninitialized(other.words_)),
-        words_(other.words_) {
-    if (words_ != 0) std::memcpy(ptr_, other.ptr_, words_ * 8);
+      : words_(static_cast<std::uint32_t>(words)) {
+    LTNC_DCHECK(words <= UINT32_MAX);
+    if (!is_inline()) ptr_ = WordArena::local().lease(words);
   }
 
-  WordBuf(WordBuf&& other) noexcept : ptr_(other.ptr_), words_(other.words_) {
-    other.ptr_ = nullptr;
+  WordBuf(const WordBuf& other) : words_(other.words_) {
+    if (is_inline()) {
+      copy_inline(other);
+    } else {
+      ptr_ = WordArena::local().lease_uninitialized(words_);
+      std::memcpy(ptr_, other.ptr_, words_ * 8);
+    }
+  }
+
+  WordBuf(WordBuf&& other) noexcept : words_(other.words_) {
+    if (is_inline()) {
+      copy_inline(other);
+    } else {
+      ptr_ = other.ptr_;
+    }
     other.words_ = 0;
   }
 
@@ -120,47 +146,71 @@ class WordBuf {
       // Lease before release: if the lease throws, this buffer is
       // untouched and the old block is not double-listed.
       WordArena& arena = WordArena::local();
-      std::uint64_t* fresh = arena.lease_uninitialized(other.words_);
-      arena.release(ptr_, words_);
-      ptr_ = fresh;
+      std::uint64_t* fresh =
+          other.is_inline() ? nullptr : arena.lease_uninitialized(other.words_);
+      if (!is_inline()) arena.release(ptr_, words_);
       words_ = other.words_;
+      if (fresh != nullptr) ptr_ = fresh;
     }
-    if (words_ != 0) std::memcpy(ptr_, other.ptr_, words_ * 8);
+    if (is_inline()) {
+      copy_inline(other);
+    } else {
+      std::memcpy(ptr_, other.ptr_, words_ * 8);
+    }
     return *this;
   }
 
   WordBuf& operator=(WordBuf&& other) noexcept {
     if (this == &other) return *this;
-    WordArena::local().release(ptr_, words_);
-    ptr_ = other.ptr_;
+    if (!is_inline()) WordArena::local().release(ptr_, words_);
     words_ = other.words_;
-    other.ptr_ = nullptr;
+    if (is_inline()) {
+      copy_inline(other);
+    } else {
+      ptr_ = other.ptr_;
+    }
     other.words_ = 0;
     return *this;
   }
 
-  ~WordBuf() { WordArena::local().release(ptr_, words_); }
+  ~WordBuf() {
+    if (!is_inline()) WordArena::local().release(ptr_, words_);
+  }
 
   std::size_t size() const { return words_; }
-  std::uint64_t* data() { return ptr_; }
-  const std::uint64_t* data() const { return ptr_; }
+  /// True when the limbs live inside this object (no arena lease).
+  bool is_inline() const { return words_ <= kInlineWords; }
+  std::uint64_t* data() { return is_inline() ? inline_ : ptr_; }
+  const std::uint64_t* data() const { return is_inline() ? inline_ : ptr_; }
 
-  std::uint64_t& operator[](std::size_t i) { return ptr_[i]; }
-  const std::uint64_t& operator[](std::size_t i) const { return ptr_[i]; }
+  std::uint64_t& operator[](std::size_t i) { return data()[i]; }
+  const std::uint64_t& operator[](std::size_t i) const { return data()[i]; }
 
   void fill_zero() {
-    if (words_ != 0) std::memset(ptr_, 0, words_ * 8);
+    if (words_ != 0) std::memset(data(), 0, words_ * 8);
   }
 
   bool operator==(const WordBuf& other) const {
     return words_ == other.words_ &&
-           (words_ == 0 || std::memcmp(ptr_, other.ptr_, words_ * 8) == 0);
+           (words_ == 0 ||
+            std::memcmp(data(), other.data(), words_ * 8) == 0);
   }
   bool operator!=(const WordBuf& other) const { return !(*this == other); }
 
  private:
-  std::uint64_t* ptr_ = nullptr;
-  std::size_t words_ = 0;
+  void copy_inline(const WordBuf& other) {
+    inline_[0] = other.inline_[0];
+    inline_[1] = other.inline_[1];
+  }
+
+  union {
+    std::uint64_t* ptr_;                           ///< leased block
+    std::uint64_t inline_[kInlineWords] = {0, 0};  ///< small arrays
+  };
+  // 32 bits leave 4 bytes of tail padding, which BitVector, Payload and
+  // wire::Frame fill with their own length ([[no_unique_address]]): each
+  // is 24 bytes.
+  std::uint32_t words_ = 0;
 };
 
 }  // namespace ltnc

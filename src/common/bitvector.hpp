@@ -26,7 +26,7 @@ class BitVector {
  public:
   /// Creates an all-zero vector of `bits` bits.
   explicit BitVector(std::size_t bits = 0)
-      : bits_(bits), words_((bits + 63) / 64) {}
+      : words_((bits + 63) / 64), bits_(static_cast<std::uint32_t>(bits)) {}
 
   /// Creates a vector of `bits` bits with exactly one bit set.
   static BitVector unit(std::size_t bits, std::size_t index) {
@@ -163,8 +163,8 @@ class BitVector {
   std::uint64_t* mutable_words() { return words_.data(); }
 
  private:
-  std::size_t bits_;
-  WordBuf words_;
+  [[no_unique_address]] WordBuf words_;  // bits_ sits in its tail padding
+  std::uint32_t bits_;
 };
 
 struct BitVectorHash {

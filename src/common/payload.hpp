@@ -24,7 +24,7 @@ class Payload {
  public:
   /// Creates an all-zero payload of `bytes` bytes.
   explicit Payload(std::size_t bytes = 0)
-      : bytes_(bytes), words_((bytes + 7) / 8) {}
+      : words_((bytes + 7) / 8), bytes_(static_cast<std::uint32_t>(bytes)) {}
 
   /// Deterministic pseudo-random payload: the canonical content of native
   /// packet `index` for a run seeded with `seed`. Decoders verify against
@@ -75,8 +75,8 @@ class Payload {
   }
 
  private:
-  std::size_t bytes_;
-  WordBuf words_;
+  [[no_unique_address]] WordBuf words_;  // bytes_ sits in its tail padding
+  std::uint32_t bytes_;
 };
 
 }  // namespace ltnc

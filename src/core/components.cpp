@@ -16,35 +16,34 @@ ComponentTracker::ComponentTracker(std::size_t k, std::size_t payload_bytes,
       size_(k, 1),
       parent_(k, -1),
       edge_payload_(k, Payload(0)),
-      heaps_(k) {
+      heaps_(k + 1) {
   LTNC_CHECK_MSG(k > 0, "code length must be positive");
+  heaps_.reserve(k);
   for (std::size_t x = 0; x < k; ++x) {
     leader_[x] = static_cast<std::uint32_t>(x) + 1;  // singleton components
-    heaps_[x].push_back(HeapEntry{0, static_cast<NativeIndex>(x)});
+    heaps_.push_back(x, HeapEntry{0, static_cast<NativeIndex>(x)});
   }
 }
 
-void ComponentTracker::heap_push(Heap& heap, HeapEntry e) {
-  heap.push_back(e);
-  std::push_heap(heap.begin(), heap.end(),
-                 [](const HeapEntry& a, const HeapEntry& b) {
-                   return a.occurrences > b.occurrences;
-                 });
+namespace {
+constexpr auto more_occurrences = [](const auto& a, const auto& b) {
+  return a.occurrences > b.occurrences;
+};
+}  // namespace
+
+void ComponentTracker::heap_push(std::size_t heap, HeapEntry e) const {
+  heaps_.push_back(heap, e);
+  const auto items = heaps_.items(heap);
+  std::push_heap(items.begin(), items.end(), more_occurrences);
 }
 
-ComponentTracker::HeapEntry ComponentTracker::heap_pop(Heap& heap) {
-  std::pop_heap(heap.begin(), heap.end(),
-                [](const HeapEntry& a, const HeapEntry& b) {
-                  return a.occurrences > b.occurrences;
-                });
-  HeapEntry e = heap.back();
-  heap.pop_back();
+ComponentTracker::HeapEntry ComponentTracker::heap_pop(
+    std::size_t heap) const {
+  const auto items = heaps_.items(heap);
+  std::pop_heap(items.begin(), items.end(), more_occurrences);
+  const HeapEntry e = items.back();
+  heaps_.pop_back(heap);
   return e;
-}
-
-ComponentTracker::Heap& ComponentTracker::heap_for_leader(
-    std::uint32_t leader) const {
-  return leader == 0 ? decoded_heap_ : heaps_[leader - 1];
 }
 
 std::pair<NativeIndex, Payload> ComponentTracker::root_and_payload(
@@ -98,18 +97,17 @@ void ComponentTracker::add_edge(NativeIndex a, NativeIndex b,
   // Relabel the absorbed component and merge its heap (small-to-large).
   const std::uint32_t old_leader = rb + 1;
   const std::uint32_t new_leader = ra + 1;
-  Heap& loser = heaps_[rb];
-  Heap& winner = heaps_[ra];
-  for (const HeapEntry& e : loser) {
+  // By index: pushing into the winner's heap may move the shared pool.
+  for (std::size_t i = 0; i < heaps_.size(rb); ++i) {
+    const HeapEntry e = heaps_.items(rb)[i];
     ops.control_steps += 1;
     if (leader_[e.native] == old_leader) {
       leader_[e.native] = new_leader;
-      heap_push(winner, e);
+      heap_push(ra, e);
     }
     // Entries whose leader moved on (e.g. decoded) are simply dropped.
   }
-  loser.clear();
-  loser.shrink_to_fit();
+  heaps_.clear(rb);
 }
 
 void ComponentTracker::mark_decoded(NativeIndex x,
@@ -118,7 +116,7 @@ void ComponentTracker::mark_decoded(NativeIndex x,
   LTNC_CHECK_MSG(leader_[x] != 0, "native decoded twice");
   leader_[x] = 0;
   ++decoded_size_;
-  heap_push(decoded_heap_, HeapEntry{current_occurrences, x});
+  heap_push(heap_for_leader(0), HeapEntry{current_occurrences, x});
   // The stale entry in the old component's heap is discarded lazily.
 }
 
@@ -144,17 +142,17 @@ std::optional<NativeIndex> ComponentTracker::pick_substitute(
     const BitVector& excluded, std::uint64_t occurrence_limit,
     OpCounters& ops) const {
   const std::uint32_t root = leader_[x];
-  Heap& heap = heap_for_leader(root);
+  const std::size_t heap = heap_for_leader(root);
 
   // Entries popped because they are excluded (typically: already part of
   // the packet being refined) — pushed back before returning. Reusable
   // member so refine loops don't allocate.
-  Heap& parked = parked_scratch_;
+  std::vector<HeapEntry>& parked = parked_scratch_;
   parked.clear();
   std::optional<NativeIndex> result;
-  while (!heap.empty()) {
+  while (!heaps_.empty(heap)) {
     ops.control_steps += 1;
-    const HeapEntry top = heap.front();
+    const HeapEntry top = heaps_.items(heap).front();
     if (leader_[top.native] != root) {
       heap_pop(heap);  // native moved to another component (e.g. decoded)
       continue;

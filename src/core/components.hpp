@@ -11,7 +11,9 @@
 //   * one lazy min-occurrence heap per component, so the refinement step's
 //     "least frequent equivalent native" query is O(log k) amortised
 //     (occurrence counts only grow, so stale heap entries are simply
-//     re-inserted with their current count when popped).
+//     re-inserted with their current count when popped). The k
+//     component heaps plus the decoded component's share one pooled
+//     array (common/pooled_lists.hpp) instead of k + 1 heap blocks.
 #pragma once
 
 #include <cstddef>
@@ -23,6 +25,7 @@
 #include "common/bitvector.hpp"
 #include "common/op_counters.hpp"
 #include "common/payload.hpp"
+#include "common/pooled_lists.hpp"
 #include "common/types.hpp"
 
 namespace ltnc::core {
@@ -82,18 +85,22 @@ class ComponentTracker {
     std::uint64_t occurrences;
     NativeIndex native;
   };
-  /// Binary min-heap over HeapEntry ordered by occurrence count.
-  using Heap = std::vector<HeapEntry>;
 
-  static void heap_push(Heap& heap, HeapEntry e);
-  static HeapEntry heap_pop(Heap& heap);
+  /// Binary min-heap over HeapEntry ordered by occurrence count, kept as
+  /// list `heap` of heaps_.
+  void heap_push(std::size_t heap, HeapEntry e) const;
+  HeapEntry heap_pop(std::size_t heap) const;
 
   /// Root of x's tree plus the payload of x ⊕ root, with two-pass path
   /// compression.
   std::pair<NativeIndex, Payload> root_and_payload(NativeIndex x,
                                                    OpCounters& ops) const;
 
-  Heap& heap_for_leader(std::uint32_t leader) const;
+  /// heaps_ list of a component: root native r's heap is list r, the
+  /// decoded component's is list k.
+  std::size_t heap_for_leader(std::uint32_t leader) const {
+    return leader == 0 ? k_ : leader - 1;
+  }
 
   std::size_t k_;
   std::size_t payload_bytes_;
@@ -106,10 +113,9 @@ class ComponentTracker {
   // without changing any observable state, hence mutable.
   mutable std::vector<std::int32_t> parent_;   ///< forest; −1 at roots
   mutable std::vector<Payload> edge_payload_;  ///< payload of (x ⊕ parent[x])
-  mutable std::vector<Heap> heaps_;            ///< per root native
-  mutable Heap decoded_heap_;                  ///< component 0
+  mutable PooledLists<HeapEntry> heaps_;  ///< per root native, then decoded
   mutable std::vector<NativeIndex> chain_scratch_;  ///< root_and_payload path
-  mutable Heap parked_scratch_;  ///< pick_substitute exclusion parking
+  mutable std::vector<HeapEntry> parked_scratch_;  ///< pick_substitute parking
   std::size_t decoded_size_ = 0;
 };
 

@@ -10,26 +10,26 @@ DegreeIndex::DegreeIndex(std::size_t k)
 }
 
 void DegreeIndex::insert(PacketId id, std::size_t degree) {
-  LTNC_CHECK_MSG(degree >= 1 && degree < buckets_.size(),
+  LTNC_CHECK_MSG(degree >= 1 && degree < buckets_.lists(),
                  "degree out of range");
   if (id >= pos_.size()) pos_.resize(id + 1, 0);
-  pos_[id] = static_cast<std::uint32_t>(buckets_[degree].size());
-  buckets_[degree].push_back(id);
+  pos_[id] = static_cast<std::uint32_t>(buckets_.size(degree));
+  buckets_.push_back(degree, id);
   weighted_.add(degree - 1, static_cast<std::int64_t>(degree));
   ++total_;
 }
 
 void DegreeIndex::remove(PacketId id, std::size_t degree) {
-  LTNC_CHECK_MSG(degree >= 1 && degree < buckets_.size(),
+  LTNC_CHECK_MSG(degree >= 1 && degree < buckets_.lists(),
                  "degree out of range");
-  auto& bucket = buckets_[degree];
+  const std::span<PacketId> bucket = buckets_.items(degree);
   const std::uint32_t slot = pos_[id];
   LTNC_CHECK_MSG(slot < bucket.size() && bucket[slot] == id,
                  "packet not registered at this degree");
   const PacketId moved = bucket.back();
   bucket[slot] = moved;
   pos_[moved] = slot;
-  bucket.pop_back();
+  buckets_.pop_back(degree);
   weighted_.add(degree - 1, -static_cast<std::int64_t>(degree));
   --total_;
 }
@@ -40,10 +40,10 @@ void DegreeIndex::change(PacketId id, std::size_t old_degree,
   insert(id, new_degree);
 }
 
-const std::vector<PacketId>& DegreeIndex::bucket(std::size_t degree) const {
-  LTNC_CHECK_MSG(degree >= 1 && degree < buckets_.size(),
+std::span<const PacketId> DegreeIndex::bucket(std::size_t degree) const {
+  LTNC_CHECK_MSG(degree >= 1 && degree < buckets_.lists(),
                  "degree out of range");
-  return buckets_[degree];
+  return buckets_.items(degree);
 }
 
 std::uint64_t DegreeIndex::weighted_sum_up_to(std::size_t d) const {
@@ -53,8 +53,8 @@ std::uint64_t DegreeIndex::weighted_sum_up_to(std::size_t d) const {
 }
 
 std::size_t DegreeIndex::max_degree() const {
-  for (std::size_t d = buckets_.size(); d-- > 1;) {
-    if (!buckets_[d].empty()) return d;
+  for (std::size_t d = buckets_.lists(); d-- > 1;) {
+    if (!buckets_.empty(d)) return d;
   }
   return 0;
 }

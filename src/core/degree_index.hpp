@@ -8,9 +8,11 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "common/fenwick.hpp"
+#include "common/pooled_lists.hpp"
 #include "common/types.hpp"
 
 namespace ltnc::core {
@@ -24,9 +26,11 @@ class DegreeIndex {
   void remove(PacketId id, std::size_t degree);
 
   std::size_t count(std::size_t degree) const {
-    return degree < buckets_.size() ? buckets_[degree].size() : 0;
+    return degree < buckets_.lists() ? buckets_.size(degree) : 0;
   }
-  const std::vector<PacketId>& bucket(std::size_t degree) const;
+  /// The packets at `degree`, in bucket order. Invalidated by the next
+  /// insert or change.
+  std::span<const PacketId> bucket(std::size_t degree) const;
 
   std::size_t total_packets() const { return total_; }
 
@@ -40,7 +44,7 @@ class DegreeIndex {
  private:
   std::size_t slot_of(PacketId id) const;
 
-  std::vector<std::vector<PacketId>> buckets_;  ///< [1..k]; [0] unused
+  PooledLists<PacketId> buckets_;  ///< [1..k]; [0] unused
   std::vector<std::uint32_t> pos_;              ///< PacketId -> bucket slot
   Fenwick<std::int64_t> weighted_;              ///< position d-1 carries d·n(d)
   std::size_t total_ = 0;

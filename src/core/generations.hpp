@@ -44,7 +44,9 @@ struct GenerationConfig {
   std::size_t total_blocks = 0;  ///< K
   std::size_t generations = 1;   ///< G (must divide K)
   std::size_t payload_bytes = 0;
-  LtncConfig ltnc{};  ///< per-generation options (k is filled in)
+  /// Per-generation options (k is filled in). A missing soliton_table is
+  /// built once and shared by every generation.
+  LtncConfig ltnc{};
 };
 
 class GenerationedLtnc {

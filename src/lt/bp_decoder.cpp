@@ -1,5 +1,6 @@
 #include "lt/bp_decoder.hpp"
 
+#include <algorithm>
 #include <utility>
 
 #include "common/check.hpp"
@@ -80,6 +81,7 @@ ReceiveResult BpDecoder::receive(const CodedPacket& packet) {
     const std::size_t i = pkt.coeffs.first_set();
     decode_native(static_cast<NativeIndex>(i), std::move(pkt.payload));
     process_ripple();
+    if (complete()) release_store();
     return ReceiveResult::kDecodedNative;
   }
 
@@ -90,15 +92,21 @@ ReceiveResult BpDecoder::receive(const CodedPacket& packet) {
     free_list_.pop_back();
   } else {
     id = static_cast<PacketId>(slots_.size());
+    // Grow by half rather than double: a node's store is most of its
+    // memory while it decodes, and doubling would leave up to half of it
+    // empty.
+    if (slots_.size() == slots_.capacity()) {
+      const std::size_t more = std::max<std::size_t>(8, slots_.size() / 2);
+      slots_.reserve(slots_.size() + more);
+    }
     slots_.emplace_back();
   }
   Slot& slot = slots_[id];
   slot.packet = std::move(pkt);
-  slot.degree = degree;
-  slot.alive = true;
+  slot.degree = static_cast<std::uint32_t>(degree);
   ++stored_count_;
   slot.packet.coeffs.for_each_set([&](std::size_t i) {
-    adjacency_[i].push_back(id);
+    adjacency_.push_back(i, id);
     ops_.control_steps += 1;
   });
   if (observer_ != nullptr) {
@@ -118,11 +126,12 @@ void BpDecoder::decode_native(NativeIndex i, Payload value) {
 
   // Propagate the decoded value along the native's edges. The snapshot
   // buffer is a reusable member (decode_native never re-enters itself —
-  // ripples are deferred to process_ripple), swapped rather than copied so
-  // steady-state decoding touches the allocator not at all.
+  // ripples are deferred to process_ripple); the native's list is emptied
+  // before the walk, so observer callbacks see it as it will end up.
   std::vector<PacketId>& edges = edges_scratch_;
-  edges.clear();
-  edges.swap(adjacency_[i]);
+  const auto listed = adjacency_.items(i);
+  edges.assign(listed.begin(), listed.end());
+  adjacency_.clear(i);
   for (PacketId id : edges) {
     ops_.control_steps += 1;
     if (!packet_alive(id)) continue;  // stale adjacency entry
@@ -132,7 +141,7 @@ void BpDecoder::decode_native(NativeIndex i, Payload value) {
     const std::size_t old_degree = slot.degree;
     slot.packet.coeffs.flip(i);
     ops_.data_word_ops += slot.packet.payload.xor_with(decoded_values_[i]);
-    slot.degree = old_degree - 1;
+    slot.degree = static_cast<std::uint32_t>(old_degree - 1);
 
     if (slot.degree == 0) {
       // Fully absorbed: the packet was dependent on decoded natives.
@@ -172,6 +181,22 @@ void BpDecoder::process_ripple() {
   }
 }
 
+void BpDecoder::release_store() {
+  LTNC_DCHECK(stored_count_ == 0);
+  std::vector<Slot>().swap(slots_);
+  std::vector<PacketId>().swap(free_list_);
+  adjacency_.release();
+  std::vector<PacketId>().swap(ripple_);
+  std::vector<PacketId>().swap(edges_scratch_);
+}
+
+std::size_t BpDecoder::store_capacity_bytes() const {
+  return slots_.capacity() * sizeof(Slot) +
+         free_list_.capacity() * sizeof(PacketId) +
+         adjacency_.capacity_bytes() +
+         ripple_.capacity() * sizeof(PacketId);
+}
+
 void BpDecoder::remove_packet(PacketId id) {
   LTNC_CHECK_MSG(packet_alive(id), "dead packet id");
   retire_slot(id, slots_[id].degree);
@@ -179,12 +204,11 @@ void BpDecoder::remove_packet(PacketId id) {
 
 void BpDecoder::retire_slot(PacketId id, std::size_t registered_degree) {
   Slot& slot = slots_[id];
-  slot.alive = false;  // invisible to traversals from observer callbacks
+  slot.degree = 0;  // invisible to traversals from observer callbacks
   --stored_count_;
   if (observer_ != nullptr) {
     observer_->on_removed(id, slot.packet.coeffs, registered_degree);
   }
-  slot.degree = 0;
   slot.packet = CodedPacket();
   free_list_.push_back(id);
 }

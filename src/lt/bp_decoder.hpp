@@ -11,6 +11,12 @@
 // packet store into its recoding structures (degree index, connected
 // components, coverage, redundancy sets) and veto storage of packets its
 // redundancy detector recognises (§III-C.1).
+//
+// Once every native is decoded the Tanner graph is empty (each stored
+// packet has been reduced to degree 0 and retired) and every later
+// arrival reduces to a duplicate, so a complete decoder frees its packet
+// store outright: slots, free list, adjacency pool and ripple queue. In a
+// large swarm most nodes spend most of their life complete.
 #pragma once
 
 #include <cstddef>
@@ -19,6 +25,7 @@
 #include "common/bitvector.hpp"
 #include "common/coded_packet.hpp"
 #include "common/op_counters.hpp"
+#include "common/pooled_lists.hpp"
 #include "common/types.hpp"
 
 namespace ltnc::lt {
@@ -118,8 +125,11 @@ class BpDecoder {
 
   // --- Packet-store introspection (for the LTNC recoding structures) ---
   std::size_t stored_count() const { return stored_count_; }
+  /// Heap bytes the Tanner-graph store holds (slots, free list, adjacency
+  /// pool, ripple queue); 0 once the decoder completes.
+  std::size_t store_capacity_bytes() const;
   bool packet_alive(PacketId id) const {
-    return id < slots_.size() && slots_[id].alive;
+    return id < slots_.size() && slots_[id].degree != 0;
   }
   const BitVector& packet_coeffs(PacketId id) const;
   const Payload& packet_payload(PacketId id) const;
@@ -128,7 +138,7 @@ class BpDecoder {
   /// Invokes fn(PacketId) for every live stored packet containing native x.
   template <typename Fn>
   void for_each_packet_containing(NativeIndex x, Fn&& fn) const {
-    for (PacketId id : adjacency_[x]) {
+    for (PacketId id : adjacency_.items(x)) {
       if (packet_alive(id) && slots_[id].packet.coeffs.test(x)) fn(id);
     }
   }
@@ -137,7 +147,7 @@ class BpDecoder {
   template <typename Fn>
   void for_each_packet(Fn&& fn) const {
     for (PacketId id = 0; id < slots_.size(); ++id) {
-      if (slots_[id].alive) fn(id);
+      if (slots_[id].degree != 0) fn(id);
     }
   }
 
@@ -148,10 +158,10 @@ class BpDecoder {
   OpCounters& mutable_ops() { return ops_; }
 
  private:
+  /// A stored packet. degree 0 marks a free (recycled or retired) slot.
   struct Slot {
     CodedPacket packet;
-    std::size_t degree = 0;
-    bool alive = false;
+    std::uint32_t degree = 0;
   };
 
   /// Reduces pkt in place by XORing out decoded natives; charges ops.
@@ -164,6 +174,8 @@ class BpDecoder {
   /// it as live), fires on_removed with `registered_degree` — the degree
   /// the observer last saw for it — then recycles the slot.
   void retire_slot(PacketId id, std::size_t registered_degree);
+  /// Frees the packet store of a complete decoder (see header comment).
+  void release_store();
 
   std::size_t k_;
   std::size_t payload_bytes_;
@@ -176,7 +188,7 @@ class BpDecoder {
   std::vector<Slot> slots_;
   std::vector<PacketId> free_list_;
   std::size_t stored_count_ = 0;
-  std::vector<std::vector<PacketId>> adjacency_;  ///< native -> packet ids
+  PooledLists<PacketId> adjacency_;  ///< native -> packet ids, edge order
   std::vector<PacketId> ripple_;
 
   // Reusable scratch: decoded-value pointers for the arrival fold and the

@@ -27,6 +27,8 @@ struct RobustSolitonParams {
   double c = 0.1;
   /// Decoder failure probability bound δ.
   double delta = 0.05;
+
+  bool operator==(const RobustSolitonParams&) const = default;
 };
 
 /// Robust Soliton: μ(d) = (ρ(d) + τ(d)) / β, normalised. Indexed by

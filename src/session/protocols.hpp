@@ -97,7 +97,9 @@ struct ProtocolParams {
   /// Fraction of k a node must hold before it starts recoding
   /// (paper: ~1 % for LTNC; WC and RLNC push without delay).
   double aggressiveness = 0.01;
-  core::LtncConfig ltnc{};   ///< k/payload_bytes filled in by the factory
+  /// k/payload_bytes are filled in by the factory; an LTNC node needs
+  /// ltnc.soliton_table built for params.k, shared across the fleet.
+  core::LtncConfig ltnc{};
   rlnc::RlncConfig rlnc{};
   wc::WcConfig wc{};
 };

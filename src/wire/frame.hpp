@@ -21,7 +21,8 @@ namespace ltnc::wire {
 class Frame {
  public:
   Frame() = default;
-  explicit Frame(std::size_t bytes) : words_((bytes + 7) / 8), size_(bytes) {}
+  explicit Frame(std::size_t bytes)
+      : words_((bytes + 7) / 8), size_(static_cast<std::uint32_t>(bytes)) {}
 
   Frame(const Frame&) = default;
   Frame& operator=(const Frame&) = default;
@@ -62,7 +63,7 @@ class Frame {
   /// size are preserved across growth.
   void resize(std::size_t bytes) {
     reserve(bytes);
-    size_ = bytes;
+    size_ = static_cast<std::uint32_t>(bytes);
   }
 
   /// Ensures capacity for `bytes` without changing size. Growth re-leases
@@ -80,7 +81,7 @@ class Frame {
   void append(const std::uint8_t* src, std::size_t n) {
     reserve(size_ + n);
     if (n != 0) std::memcpy(data() + size_, src, n);
-    size_ += n;
+    size_ += static_cast<std::uint32_t>(n);
   }
 
   /// Copies the contents of `other` into this frame, reusing capacity.
@@ -90,8 +91,8 @@ class Frame {
   }
 
  private:
-  WordBuf words_;
-  std::size_t size_ = 0;
+  [[no_unique_address]] WordBuf words_;  // size_ sits in its tail padding
+  std::uint32_t size_ = 0;
 };
 
 }  // namespace ltnc::wire
