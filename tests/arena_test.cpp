@@ -126,5 +126,37 @@ TEST(WordBuf, ZeroFilledOnConstruction) {
   for (std::size_t i = 0; i < 16; ++i) EXPECT_EQ(b[i], 0u);
 }
 
+TEST(WordBuf, InlineAndLeasedCrossAssignment) {
+  // Buffers of up to kInlineWords limbs live in the object; assignments
+  // in both directions across that boundary keep values and lease balance.
+  const WordArena::Stats before = WordArena::local().stats();
+  {
+    WordBuf small(WordBuf::kInlineWords);
+    small[0] = 7;
+    WordBuf big(WordBuf::kInlineWords + 3);
+    big[4] = 9;
+    EXPECT_TRUE(small.is_inline());
+    EXPECT_FALSE(big.is_inline());
+
+    WordBuf a = small;  // inline copy
+    a = big;            // inline -> leased
+    EXPECT_EQ(a, big);
+    a = small;          // leased -> inline
+    EXPECT_EQ(a, small);
+    WordBuf b = std::move(big);  // leased move
+    EXPECT_EQ(b[4], 9u);
+    EXPECT_EQ(big.size(), 0u);  // NOLINT: moved-from is empty by contract
+    b = std::move(a);           // leased <- inline move
+    EXPECT_EQ(b[0], 7u);
+    EXPECT_TRUE(b.is_inline());
+    const WordBuf& self = b;
+    b = self;
+    EXPECT_EQ(b[0], 7u);
+  }
+  const WordArena::Stats after = WordArena::local().stats();
+  EXPECT_EQ(after.leases - before.leases, after.releases - before.releases);
+  EXPECT_EQ(after.live_words, before.live_words);
+}
+
 }  // namespace
 }  // namespace ltnc

@@ -271,5 +271,26 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(16, 64, 256, 1024),
                        ::testing::Values(1, 2, 3)));
 
+TEST(BpDecoder, CompleteDecoderReleasesItsStore) {
+  // Once every native is decoded the Tanner graph is empty and every
+  // arrival reduces to a duplicate, so the store's storage is freed.
+  constexpr std::size_t k = 32;
+  LtEncoder enc(make_native_payloads(k, 16, 3));
+  BpDecoder dec(k, 16);
+  Rng rng(5);
+  bool stored_some = false;
+  for (int i = 0; i < 10000 && !dec.complete(); ++i) {
+    stored_some |= dec.receive(enc.encode(rng)) == ReceiveResult::kStored;
+  }
+  ASSERT_TRUE(dec.complete());
+  EXPECT_TRUE(stored_some);
+  EXPECT_EQ(dec.stored_count(), 0u);
+  EXPECT_EQ(dec.store_capacity_bytes(), 0u);
+  for (int i = 0; i < 50; ++i) {
+    EXPECT_EQ(dec.receive(enc.encode(rng)), ReceiveResult::kDuplicate);
+  }
+  EXPECT_EQ(dec.store_capacity_bytes(), 0u);
+}
+
 }  // namespace
 }  // namespace ltnc::lt
