@@ -14,6 +14,11 @@
 //
 // Writes BENCH_stream.json (one flat array; bench/diff_bench.py globs
 // it). Flags: --full --seed=S --out=FILE --receivers=N
+//
+// Exits nonzero unless, on both seeded SimChannel sweeps ("sim" and
+// "sim-adaptive"), the miss rate is 0 at zero loss and never falls as
+// loss rises. The UDP rows stay advisory: their timing depends on how
+// busy the machine is, so a shared CI box could fail them spuriously.
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
@@ -21,6 +26,7 @@
 #include <iostream>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "metrics/emitter.hpp"
@@ -118,6 +124,21 @@ int main(int argc, char** argv) {
   }
 
   std::vector<RunRecord> records;
+  // Miss rates of the seeded sweeps, in ascending loss order, for the gate.
+  std::vector<std::pair<std::string, std::vector<double>>> gated{
+      {"sim", {}}, {"sim-adaptive", {}}};
+  const auto sweep_point = [&](std::size_t sweep, double loss,
+                               const ltnc::stream::SimStreamConfig& cfg) {
+    double miss = 0.0;
+    records.push_back(timed(
+        [&] {
+          const StreamRunStats r = run_sim_stream(cfg);
+          miss = r.miss_rate();
+          return r;
+        },
+        gated[sweep].first, loss, cfg.stream));
+    gated[sweep].second.push_back(miss);
+  };
   // Well-separated loss points so the fixed-budget miss-rate curve steps
   // decisively: ~0 %, <1 %, a few %, then a collapse past the budget.
   const std::vector<double> losses{0.0, 0.15, 0.3, 0.5};
@@ -133,8 +154,7 @@ int main(int argc, char** argv) {
     cfg.receivers = receivers_override != 0 ? receivers_override : 4;
     cfg.adaptive_budget = false;
     cfg.seed = seed;
-    records.push_back(timed([&] { return run_sim_stream(cfg); }, "sim", loss,
-                            cfg.stream));
+    sweep_point(0, loss, cfg);
   }
   for (const double loss : losses) {
     ltnc::stream::SimStreamConfig cfg;
@@ -146,8 +166,7 @@ int main(int argc, char** argv) {
     cfg.receivers = receivers_override != 0 ? receivers_override : 4;
     cfg.adaptive_budget = true;
     cfg.seed = seed;
-    records.push_back(timed([&] { return run_sim_stream(cfg); },
-                            "sim-adaptive", loss, cfg.stream));
+    sweep_point(1, loss, cfg);
   }
 
   // --- UDP loopback sweep ---------------------------------------------------
@@ -195,5 +214,22 @@ int main(int argc, char** argv) {
   }
   ltnc::metrics::write_json(out, records);
   std::cout << "wrote " << out_path << "\n";
-  return 0;
+
+  bool ok = true;
+  for (const auto& [section, misses] : gated) {
+    if (misses.front() != 0.0) {
+      std::cerr << "stream_latency: FAIL " << section << " misses "
+                << misses.front() << " of its blocks at zero loss\n";
+      ok = false;
+    }
+    for (std::size_t i = 1; i < misses.size(); ++i) {
+      if (misses[i] < misses[i - 1]) {
+        std::cerr << "stream_latency: FAIL " << section
+                  << " miss rate falls from " << misses[i - 1] << " to "
+                  << misses[i] << " as loss rises\n";
+        ok = false;
+      }
+    }
+  }
+  return ok ? 0 : 1;
 }
