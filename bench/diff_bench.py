@@ -17,10 +17,17 @@ invocation after re-running the benches in a dirty tree is just:
     python3 bench/diff_bench.py --tolerance 0.5 --strict
 
 Numeric leaves are compared by relative difference against --tolerance
-(default 0.25); a nested JSON document is flattened to dotted/indexed
-paths first ("shard_scaling[1].frames_per_sec"). Non-numeric leaves must
-match exactly. Missing baselines (a brand-new bench) are noted and
-skipped.
+(default 0.25); a nested JSON document is flattened to dotted paths
+first. A list row that carries identity fields (driver/engine/section,
+num_nodes, loss, shards) is keyed by them ("[driver=sim,loss=0.3].p50"),
+so adding or dropping a row does not shift every row after it; other
+rows fall back to their index ("shard_scaling[1].frames_per_sec").
+Each metric's name gives its direction: rss, latency, quantiles, miss
+rate, overhead, bytes and seconds are better lower; throughput and
+rates per second are better higher. A drift past tolerance reads BETTER
+or WORSE accordingly, or DRIFT when the name says nothing. Non-numeric
+leaves must match exactly. Missing baselines (a brand-new bench) are
+noted and skipped.
 """
 
 import argparse
@@ -28,8 +35,30 @@ import glob
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+
+# Fields that name a row of a sweep, in the order they appear in its key.
+IDENTITY_FIELDS = ("engine", "driver", "section", "num_nodes", "loss",
+                   "shards")
+
+# Metric-name fragments, matched against the last path component.
+HIGHER_IS_BETTER = re.compile(
+    r"(per_s(ec)?$|_per_sec|throughput|goodput|gbps|mbps|speedup|"
+    r"frames_per_(send|recv)|hit|offload)", re.IGNORECASE)
+LOWER_IS_BETTER = re.compile(
+    r"(rss|latency|p50|p90|p99|p999|miss|overhead|bytes|seconds|wall|"
+    r"_ns$|_ms$|_us$|_s$|^ns|time)", re.IGNORECASE)
+
+
+def row_key(row, index):
+    """Identity key of a list row: its identity fields, else its index."""
+    if isinstance(row, dict):
+        ident = [f"{f}={row[f]}" for f in IDENTITY_FIELDS if f in row]
+        if ident:
+            return "[" + ",".join(ident) + "]"
+    return f"[{index}]"
 
 
 def flatten(node, prefix=""):
@@ -41,10 +70,27 @@ def flatten(node, prefix=""):
             out.update(flatten(value, path))
     elif isinstance(node, list):
         for i, value in enumerate(node):
-            out.update(flatten(value, f"{prefix}[{i}]"))
+            out.update(flatten(value, prefix + row_key(value, i)))
     else:
         out[prefix] = node
     return out
+
+
+def direction(path):
+    """+1 when a larger value is better, -1 when smaller is, 0 unknown."""
+    name = re.split(r"[.\]]", path)[-1]
+    if HIGHER_IS_BETTER.search(name):
+        return 1
+    if LOWER_IS_BETTER.search(name):
+        return -1
+    return 0
+
+
+def verdict(path, old, new):
+    sign = direction(path)
+    if sign == 0:
+        return "DRIFT"
+    return "BETTER" if (new - old) * sign > 0 else "WORSE"
 
 
 def load_baseline(name, args):
@@ -99,8 +145,8 @@ def compare_file(name, baseline, current, tolerance):
         d = rel_diff(float(old), float(new))
         if d > tolerance:
             drift += 1
-            arrow = "WORSE?" if new < old else "DRIFT"
-            rows.append((path, old, new, f"{arrow} {d * 100.0:+.1f}%"))
+            label = verdict(path, float(old), float(new))
+            rows.append((path, old, new, f"{label} {d * 100.0:.1f}%"))
     return rows, drift
 
 
