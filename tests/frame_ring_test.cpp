@@ -16,6 +16,7 @@
 
 #include "common/arena.hpp"
 #include "common/rng.hpp"
+#include "wire/codec.hpp"
 #include "wire/frame.hpp"
 
 namespace ltnc::net {
@@ -71,6 +72,44 @@ struct ArenaDelta {
     return *this;
   }
 };
+
+TEST(Frame, ReserveGrowsInlineIntoLeasedKeepingBytes) {
+  wire::Frame frame;
+  const std::uint8_t head[] = {1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12};
+  frame.append(head, sizeof(head));  // fits the inline limbs
+  const std::uint64_t leases = WordArena::local().stats().leases;
+  frame.reserve(200);  // inline -> leased
+  EXPECT_EQ(WordArena::local().stats().leases, leases + 1);
+  EXPECT_GE(frame.capacity(), 200u);
+  ASSERT_EQ(frame.size(), sizeof(head));
+  EXPECT_EQ(std::memcmp(frame.data(), head, sizeof(head)), 0);
+  frame.append(head, sizeof(head));
+  EXPECT_EQ(std::memcmp(frame.data() + sizeof(head), head, sizeof(head)), 0);
+}
+
+TEST(SpscFrameRing, SmallFeedbackFrameSurvivesSwapRoundTrip) {
+  // A feedback frame fits inline, so crossing the ring moves its bytes
+  // (not a block pointer) between frame objects.
+  SpscFrameRing ring(4);
+  wire::Frame frame;
+  wire::serialize_feedback(wire::MessageType::kProceed, 0x1234, frame);
+  ASSERT_LE(frame.size(), 16u);
+  const std::vector<std::uint8_t> sent(frame.bytes().begin(),
+                                       frame.bytes().end());
+  ASSERT_TRUE(ring.try_push(7, frame));
+  wire::Frame out(256);  // leased spare, swapped into the slot
+  std::uint32_t peer = 0;
+  ASSERT_TRUE(ring.try_pop(peer, out));
+  EXPECT_EQ(peer, 7u);
+  ASSERT_EQ(out.size(), sent.size());
+  EXPECT_EQ(std::memcmp(out.data(), sent.data(), sent.size()), 0);
+  wire::MessageType type{};
+  std::uint64_t token = 0;
+  ASSERT_EQ(wire::deserialize_feedback(out.bytes(), type, token),
+            wire::DecodeStatus::kOk);
+  EXPECT_EQ(type, wire::MessageType::kProceed);
+  EXPECT_EQ(token, 0x1234u);
+}
 
 TEST(SpscFrameRing, FifoOrderAndPeerTagsSingleThread) {
   SpscFrameRing ring(8);
