@@ -81,7 +81,6 @@ void BM_Fig8_Recode_LTNC(benchmark::State& state, std::size_t m) {
   core::LtncConfig cfg;
   cfg.k = k;
   cfg.payload_bytes = m;
-  cfg.soliton_table = std::make_shared<const lt::RobustSoliton>(k);
   core::LtncCodec codec(cfg);
   fill_ltnc(codec, k / 2);
   Rng rng(11);

@@ -32,7 +32,6 @@ int main() {
   core::LtncConfig cfg;
   cfg.k = k;
   cfg.payload_bytes = m;
-  cfg.soliton_table = std::make_shared<const lt::RobustSoliton>(k);  // shared by both codecs
   core::LtncCodec relay(cfg);
   core::LtncCodec sink(cfg);
 

@@ -29,8 +29,12 @@ using namespace ltnc;
 // state to recode repairs from what it holds.
 class Brick {
  public:
-  explicit Brick(const core::LtncConfig& cfg)
-      : state_(std::make_unique<core::LtncCodec>(cfg)) {}
+  Brick(std::size_t k, std::size_t m) {
+    core::LtncConfig cfg;
+    cfg.k = k;
+    cfg.payload_bytes = m;
+    state_ = std::make_unique<core::LtncCodec>(cfg);
+  }
 
   void store(const CodedPacket& fragment) {
     fragments_.push_back(fragment);
@@ -61,11 +65,6 @@ int main(int argc, char** argv) {
   constexpr std::uint64_t content_seed = 77;
   const std::size_t fragments_per_brick = (3 * k / bricks) + 2;
 
-  core::LtncConfig brick_cfg;  // one shared degree table for every brick
-  brick_cfg.k = k;
-  brick_cfg.payload_bytes = m;
-  brick_cfg.soliton_table = std::make_shared<const lt::RobustSoliton>(k);
-
   const auto natives = lt::make_native_payloads(k, m, content_seed);
   lt::LtEncoder archiver(lt::make_native_payloads(k, m, content_seed));
   Rng rng(5);
@@ -73,7 +72,7 @@ int main(int argc, char** argv) {
   // --- initial placement: LT fragments spread over the bricks ----------
   std::vector<std::unique_ptr<Brick>> field;
   for (std::size_t b = 0; b < bricks; ++b) {
-    auto brick = std::make_unique<Brick>(brick_cfg);
+    auto brick = std::make_unique<Brick>(k, m);
     for (std::size_t f = 0; f < fragments_per_brick; ++f) {
       brick->store(archiver.encode(rng));
     }
@@ -89,7 +88,7 @@ int main(int argc, char** argv) {
   for (std::size_t round = 0; round < failure_rounds; ++round) {
     // A random brick dies with everything on it.
     const std::size_t dead = rng.uniform(field.size());
-    field[dead] = std::make_unique<Brick>(brick_cfg);
+    field[dead] = std::make_unique<Brick>(k, m);
     // Survivors regenerate fresh fragments for the replacement — note:
     // nobody decodes the file; repairs are pure recoding (paper §I, the
     // self-healing-storage use of LTNC, as [18][19] do with RLNC).

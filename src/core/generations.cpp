@@ -23,16 +23,11 @@ GenerationedLtnc::GenerationedLtnc(const GenerationConfig& config)
                  "more generations than blocks");
   LTNC_CHECK_MSG(config.total_blocks % config.generations == 0,
                  "generations must divide the block count evenly");
-  LtncConfig ltnc = config.ltnc;
-  ltnc.k = per_gen_;
-  ltnc.payload_bytes = config.payload_bytes;
-  // Every generation has the same k, so one degree table serves them all.
-  if (ltnc.soliton_table == nullptr) {
-    ltnc.soliton_table =
-        std::make_shared<const lt::RobustSoliton>(per_gen_, ltnc.soliton);
-  }
   codecs_.reserve(config.generations);
   for (std::size_t g = 0; g < config.generations; ++g) {
+    LtncConfig ltnc = config.ltnc;
+    ltnc.k = per_gen_;
+    ltnc.payload_bytes = config.payload_bytes;
     codecs_.push_back(std::make_unique<LtncCodec>(ltnc));
   }
 }

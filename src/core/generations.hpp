@@ -44,9 +44,7 @@ struct GenerationConfig {
   std::size_t total_blocks = 0;  ///< K
   std::size_t generations = 1;   ///< G (must divide K)
   std::size_t payload_bytes = 0;
-  /// Per-generation options (k is filled in). A missing soliton_table is
-  /// built once and shared by every generation.
-  LtncConfig ltnc{};
+  LtncConfig ltnc{};  ///< per-generation options (k is filled in)
 };
 
 class GenerationedLtnc {

@@ -6,19 +6,9 @@
 
 namespace ltnc::core {
 
-namespace {
-const LtncConfig& checked(const LtncConfig& config) {
-  LTNC_CHECK_MSG(config.k > 0, "k must be positive");
-  const lt::RobustSoliton* table = config.soliton_table.get();
-  LTNC_CHECK_MSG(table != nullptr, "LtncConfig needs a shared soliton_table");
-  LTNC_CHECK_MSG(table->k() == config.k && table->params() == config.soliton,
-                 "soliton_table does not match k and soliton params");
-  return config;
-}
-}  // namespace
-
 LtncCodec::LtncCodec(const LtncConfig& config)
-    : cfg_(checked(config)),
+    : cfg_(config),
+      soliton_(lt::RobustSoliton::shared(config.k, config.soliton)),
       decoder_(config.k, config.payload_bytes, this),
       index_(config.k),
       coverage_(config.k,
@@ -35,11 +25,13 @@ LtncCodec::LtncCodec(const LtncConfig& config)
                   }),
       occurrences_(config.k),
       redundancy_(config.k, components_),
-      picker_(*cfg_.soliton_table, index_, coverage_,
-              config.enable_reachability_bounds, config.max_degree_retries),
+      picker_(*soliton_, index_, coverage_, config.enable_reachability_bounds,
+              config.max_degree_retries),
       builder_(decoder_, index_),
       refiner_(components_, occurrences_),
-      smart_(decoder_, components_) {}
+      smart_(decoder_, components_) {
+  LTNC_CHECK_MSG(config.k > 0, "k must be positive");
+}
 
 // ---------------------------------------------------------------------------
 // Receive path

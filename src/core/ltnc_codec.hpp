@@ -41,13 +41,6 @@ struct LtncConfig {
   std::size_t k = 0;
   std::size_t payload_bytes = 0;
   lt::RobustSolitonParams soliton{};
-  /// The Robust Soliton table of (k, soliton) that the degree picker
-  /// samples. It is immutable, so one instance serves a whole fleet:
-  /// whoever builds the nodes (SimCore, ContentStore, GenerationedLtnc)
-  /// builds it once and every codec shares it — at k = 16 a private
-  /// copy's alias tables would cost more heap than the node's coding
-  /// state. Required; the codec checks that it matches k and soliton.
-  std::shared_ptr<const lt::RobustSoliton> soliton_table;
   /// §III-C.1 redundancy detection (ablation switch; paper: −31 % redundant
   /// insertions when on).
   bool enable_redundancy_detection = true;
@@ -149,6 +142,8 @@ class LtncCodec final : private lt::StoreObserver {
                               std::size_t degree);
 
   LtncConfig cfg_;
+  /// Shared with every codec of the same (k, soliton).
+  std::shared_ptr<const lt::RobustSoliton> soliton_;
   lt::BpDecoder decoder_;
   DegreeIndex index_;
   CoverageTracker coverage_;

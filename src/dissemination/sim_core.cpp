@@ -93,11 +93,6 @@ SimCore::SimCore(Scheme scheme, const SimConfig& config)
   LTNC_CHECK_MSG(config.num_contents >= 1, "need at least one content");
   LTNC_CHECK_MSG(config.num_contents <= config.num_nodes,
                  "every content needs a non-empty source subset");
-  // One degree table for the whole fleet (see LtncConfig::soliton_table).
-  if (scheme == Scheme::kLtnc && cfg_.ltnc.soliton_table == nullptr) {
-    cfg_.ltnc.soliton_table =
-        std::make_shared<const lt::RobustSoliton>(cfg_.k, cfg_.ltnc.soliton);
-  }
 
   sources_.reserve(cfg_.num_contents);
   for (std::size_t c = 0; c < cfg_.num_contents; ++c) {

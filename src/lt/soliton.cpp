@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <mutex>
 
 #include "common/check.hpp"
 
@@ -82,6 +83,26 @@ RobustSoliton::RobustSoliton(std::size_t k, RobustSolitonParams params,
               std::sqrt(static_cast<double>(k))),
       dist_(robust_soliton_weights(k, params)) {
   if (use_lut) lut_ = DegreeLut(robust_soliton_weights(k, params));
+}
+
+std::shared_ptr<const RobustSoliton> RobustSoliton::shared(
+    std::size_t k, const RobustSolitonParams& params) {
+  struct Entry {
+    std::size_t k;
+    RobustSolitonParams params;
+    std::weak_ptr<const RobustSoliton> table;
+  };
+  static std::mutex mu;
+  static std::vector<Entry> entries;
+  std::lock_guard<std::mutex> lock(mu);
+  for (const Entry& e : entries) {
+    if (e.k != k || e.params != params) continue;
+    if (auto table = e.table.lock()) return table;
+  }
+  std::erase_if(entries, [](const Entry& e) { return e.table.expired(); });
+  auto table = std::make_shared<const RobustSoliton>(k, params);
+  entries.push_back({k, params, table});
+  return table;
 }
 
 double RobustSoliton::mean_degree() const {

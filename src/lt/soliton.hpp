@@ -11,6 +11,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "common/discrete_distribution.hpp"
@@ -91,6 +92,13 @@ class RobustSoliton {
   /// wherever a seed pins an exact trajectory.
   explicit RobustSoliton(std::size_t k, RobustSolitonParams params = {},
                          bool use_lut = false);
+
+  /// The process-wide alias-path table of (k, params). The table is
+  /// immutable, so every holder shares one instance: at k = 16 a private
+  /// copy's alias tables would cost a gossip node more heap than its
+  /// coding state. It lives while someone holds it; thread-safe.
+  static std::shared_ptr<const RobustSoliton> shared(
+      std::size_t k, const RobustSolitonParams& params = {});
 
   std::size_t k() const { return k_; }
   const RobustSolitonParams& params() const { return params_; }

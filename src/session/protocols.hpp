@@ -97,9 +97,7 @@ struct ProtocolParams {
   /// Fraction of k a node must hold before it starts recoding
   /// (paper: ~1 % for LTNC; WC and RLNC push without delay).
   double aggressiveness = 0.01;
-  /// k/payload_bytes are filled in by the factory; an LTNC node needs
-  /// ltnc.soliton_table built for params.k, shared across the fleet.
-  core::LtncConfig ltnc{};
+  core::LtncConfig ltnc{};   ///< k/payload_bytes filled in by the factory
   rlnc::RlncConfig rlnc{};
   wc::WcConfig wc{};
 };

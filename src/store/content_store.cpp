@@ -155,30 +155,14 @@ bool Content::finish_and_verify(std::uint64_t content_seed) {
 
 // --- ContentStore -----------------------------------------------------------
 
-std::shared_ptr<const lt::RobustSoliton> ContentStore::soliton_table(
-    std::size_t k, const lt::RobustSolitonParams& params) {
-  for (const auto& table : soliton_tables_) {
-    if (table->k() == k && table->params() == params) return table;
-  }
-  soliton_tables_.push_back(
-      std::make_shared<const lt::RobustSoliton>(k, params));
-  return soliton_tables_.back();
-}
-
 Content& ContentStore::register_content(const ContentConfig& config) {
-  core::LtncConfig ltnc = config.ltnc;
-  const bool ltnc_state =
-      config.generations > 1 || config.scheme == session::Scheme::kLtnc;
-  if (ltnc_state && ltnc.soliton_table == nullptr) {
-    ltnc.soliton_table = soliton_table(config.k, ltnc.soliton);
-  }
   if (config.generations > 1) {
     LTNC_CHECK_MSG(find(config.id) == nullptr, "duplicate content id");
     core::GenerationConfig gen;
     gen.total_blocks = config.k * config.generations;
     gen.generations = config.generations;
     gen.payload_bytes = config.payload_bytes;
-    gen.ltnc = ltnc;
+    gen.ltnc = config.ltnc;
     contents_.push_back(std::make_unique<Content>(
         config, std::make_unique<core::GenerationedLtnc>(gen)));
     return *contents_.back();
@@ -187,7 +171,7 @@ Content& ContentStore::register_content(const ContentConfig& config) {
   params.k = config.k;
   params.payload_bytes = config.payload_bytes;
   params.aggressiveness = config.aggressiveness;
-  params.ltnc = ltnc;
+  params.ltnc = config.ltnc;
   params.rlnc = config.rlnc;
   params.wc = config.wc;
   return register_content(config,

@@ -145,8 +145,6 @@ class ContentStore {
 
   /// Builds and registers the content's coding state from its config:
   /// a scheme protocol for plain contents, a GenerationedLtnc otherwise.
-  /// LTNC coding state without a config.ltnc.soliton_table gets the
-  /// store's shared table for its (k, soliton params).
   Content& register_content(const ContentConfig& config);
   /// Registers a plain content over a caller-built protocol (nullptr for
   /// a seeder-only entry that pins dimensions without decode state).
@@ -197,13 +195,7 @@ class ContentStore {
   bool all_complete() const;
 
  private:
-  /// The degree table every LTNC content of code length k under `params`
-  /// shares — built on first use, one per distinct pair.
-  std::shared_ptr<const lt::RobustSoliton> soliton_table(
-      std::size_t k, const lt::RobustSolitonParams& params);
-
   std::vector<std::unique_ptr<Content>> contents_;
-  std::vector<std::shared_ptr<const lt::RobustSoliton>> soliton_tables_;
 };
 
 /// Seeder-side encoder for a generationed content: one textbook LT

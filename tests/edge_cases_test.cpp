@@ -28,7 +28,6 @@ TEST(EdgeCases, KEqualsOneEverywhere) {
   core::LtncConfig cfg;
   cfg.k = 1;
   cfg.payload_bytes = 8;
-  cfg.soliton_table = std::make_shared<const lt::RobustSoliton>(1);
   core::LtncCodec codec(cfg);
   codec.receive(CodedPacket::native(1, 0, natives[0]));
   EXPECT_TRUE(codec.complete());
@@ -87,7 +86,6 @@ TEST(EdgeCases, ReceiveAfterCompleteIsHarmless) {
   core::LtncConfig cfg;
   cfg.k = k;
   cfg.payload_bytes = 8;
-  cfg.soliton_table = std::make_shared<const lt::RobustSoliton>(k);
   core::LtncCodec codec(cfg);
   for (std::size_t i = 0; i < k; ++i) {
     codec.receive(CodedPacket::native(k, i, natives[i]));
@@ -112,7 +110,6 @@ TEST(EdgeCases, RecodeAfterCompleteIsSourceQuality) {
   core::LtncConfig cfg;
   cfg.k = k;
   cfg.payload_bytes = 8;
-  cfg.soliton_table = std::make_shared<const lt::RobustSoliton>(k);
   core::LtncCodec codec(cfg);
   for (std::size_t i = 0; i < k; ++i) {
     codec.receive(CodedPacket::native(k, i, natives[i]));
@@ -174,7 +171,6 @@ TEST(EdgeCases, WouldRejectIsSoundAgainstRankOracle) {
   core::LtncConfig cfg;
   cfg.k = k;
   cfg.payload_bytes = 8;
-  cfg.soliton_table = std::make_shared<const lt::RobustSoliton>(k);
   core::LtncCodec codec(cfg);
   gf2::GF2Matrix accepted(k);
   Rng rng(12);

@@ -56,7 +56,6 @@ TEST_P(FuzzInvariants, HoldUnderMixedTraffic) {
   LtncConfig cfg;
   cfg.k = k;
   cfg.payload_bytes = kM;
-  cfg.soliton_table = std::make_shared<const lt::RobustSoliton>(k);
   LtncCodec codec(cfg);
   LtncCodec peer(cfg);  // produces realistic recoded traffic
 

@@ -167,7 +167,6 @@ TEST(GenerationedLtnc, ControlCostBelowMonolithic) {
   LtncConfig mono_cfg;
   mono_cfg.k = kTotal;
   mono_cfg.payload_bytes = kM;
-  mono_cfg.soliton_table = std::make_shared<const lt::RobustSoliton>(kTotal);
   LtncCodec mono(mono_cfg);
   guard = 0;
   while (!mono.complete() && ++guard < 50 * kTotal) {

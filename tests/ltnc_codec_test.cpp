@@ -18,7 +18,6 @@ LtncConfig config(std::size_t k) {
   LtncConfig cfg;
   cfg.k = k;
   cfg.payload_bytes = kM;
-  cfg.soliton_table = std::make_shared<const lt::RobustSoliton>(k);
   return cfg;
 }
 

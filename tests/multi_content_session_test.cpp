@@ -264,7 +264,6 @@ TEST(MultiContentSession, LegacyEndpointCountsGenerationTrafficAsForeign) {
   ProtocolParams params;
   params.k = 8;
   params.payload_bytes = 16;
-  params.ltnc.soliton_table = std::make_shared<const lt::RobustSoliton>(8);
   Endpoint endpoint(cfg, make_node(Scheme::kLtnc, params));
   wire::Frame frame;
   wire::serialize_generation(

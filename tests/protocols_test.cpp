@@ -17,7 +17,6 @@ ProtocolParams params(std::size_t k, double aggressiveness = 0.01) {
   p.k = k;
   p.payload_bytes = kM;
   p.aggressiveness = aggressiveness;
-  p.ltnc.soliton_table = std::make_shared<const lt::RobustSoliton>(k);
   return p;
 }
 

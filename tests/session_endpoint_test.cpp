@@ -41,7 +41,6 @@ ProtocolParams params() {
   ProtocolParams p;
   p.k = kK;
   p.payload_bytes = kM;
-  p.ltnc.soliton_table = std::make_shared<const lt::RobustSoliton>(kK);
   return p;
 }
 
@@ -423,7 +422,6 @@ TEST(SessionEndpoint, MtuOverflowNeverWedgesTheEndpoint) {
                       ProtocolParams p;
                       p.k = kK;
                       p.payload_bytes = 1024;
-                      p.ltnc.soliton_table = std::make_shared<const lt::RobustSoliton>(kK);
                       return p;
                     }()));
 

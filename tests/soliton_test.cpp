@@ -98,6 +98,20 @@ TEST(RobustSoliton, TinyK) {
   for (int i = 0; i < 10; ++i) EXPECT_EQ(rs.sample(rng), 1u);
 }
 
+TEST(RobustSoliton, SharedTableIsOnePerKAndParams) {
+  const auto a = RobustSoliton::shared(16);
+  const auto b = RobustSoliton::shared(16, {});
+  EXPECT_EQ(a.get(), b.get());
+  EXPECT_NE(a.get(), RobustSoliton::shared(32).get());
+  EXPECT_NE(a.get(), RobustSoliton::shared(16, {.c = 0.2}).get());
+  EXPECT_EQ(a->k(), 16u);
+  // The shared table is the alias path: same draws as a private table.
+  EXPECT_FALSE(a->uses_lut());
+  const RobustSoliton own(16);
+  Rng r1(9), r2(9);
+  for (int i = 0; i < 100; ++i) EXPECT_EQ(a->sample(r1), own.sample(r2));
+}
+
 class RobustSolitonSweep : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(RobustSolitonSweep, ProbabilitiesFormDistribution) {

@@ -154,7 +154,6 @@ TEST(SteadyStateAllocation, LtncRecodeIsAllocationFree) {
   core::LtncConfig cfg;
   cfg.k = k;
   cfg.payload_bytes = m;
-  cfg.soliton_table = std::make_shared<const lt::RobustSoliton>(k);
   core::LtncCodec codec(cfg);
   lt::LtEncoder enc(lt::make_native_payloads(k, m, 9));
   Rng rng(41);
