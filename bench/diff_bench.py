@@ -18,14 +18,18 @@ invocation after re-running the benches in a dirty tree is just:
 
 Numeric leaves are compared by relative difference against --tolerance
 (default 0.25); a nested JSON document is flattened to dotted paths
-first. A list row that carries identity fields (driver/engine/section,
-num_nodes, loss, shards) is keyed by them ("[driver=sim,loss=0.3].p50"),
-so adding or dropping a row does not shift every row after it; other
-rows fall back to their index ("shard_scaling[1].frames_per_sec").
-Each metric's name gives its direction: rss, latency, quantiles, miss
-rate, overhead, bytes and seconds are better lower; throughput and
-rates per second are better higher. A drift past tolerance reads BETTER
-or WORSE accordingly, or DRIFT when the name says nothing. Non-numeric
+first. When every row of a list carries identity fields (engine/driver/
+section, policy, capacity_frac, num_nodes, loss, shards) and no two rows
+share them, rows are keyed by them ("[driver=sim,loss=0.3].p50"), so
+adding or dropping a row does not shift every row after it; otherwise
+the list's rows are keyed by index ("shard_scaling[1].frames_per_sec"),
+so no row ever overwrites another. Each metric's name gives its
+direction: rss, latency, quantiles, miss rate, overhead, bytes and
+seconds are better lower; throughput and rates per second are better
+higher. Counts, sizes that are inputs (block_bytes, symbol_bytes, ...)
+and edge_bytes (more of it is more offload) have none. A drift past
+tolerance reads BETTER or WORSE accordingly, or DRIFT when the metric
+has no direction. Non-numeric
 leaves must match exactly. Missing baselines (a brand-new bench) are
 noted and skipped.
 """
@@ -40,10 +44,14 @@ import subprocess
 import sys
 
 # Fields that name a row of a sweep, in the order they appear in its key.
-IDENTITY_FIELDS = ("engine", "driver", "section", "num_nodes", "loss",
-                   "shards")
+IDENTITY_FIELDS = ("engine", "driver", "section", "policy", "capacity_frac",
+                   "num_nodes", "loss", "shards")
 
 # Metric-name fragments, matched against the last path component.
+# NO_DIRECTION wins over the other two: it names what they would misread.
+NO_DIRECTION = re.compile(
+    r"(_samples$|^(edge|block|symbol|payload|capacity|cache)_bytes(_used)?$|"
+    r"^within_)", re.IGNORECASE)
 HIGHER_IS_BETTER = re.compile(
     r"(per_s(ec)?$|_per_sec|throughput|goodput|gbps|mbps|speedup|"
     r"frames_per_(send|recv)|hit|offload)", re.IGNORECASE)
@@ -52,13 +60,21 @@ LOWER_IS_BETTER = re.compile(
     r"_ns$|_ms$|_us$|_s$|^ns|time)", re.IGNORECASE)
 
 
-def row_key(row, index):
-    """Identity key of a list row: its identity fields, else its index."""
-    if isinstance(row, dict):
-        ident = [f"{f}={row[f]}" for f in IDENTITY_FIELDS if f in row]
-        if ident:
-            return "[" + ",".join(ident) + "]"
-    return f"[{index}]"
+def identity_key(row):
+    """"[f=v,...]" of a row's identity fields, or None when it has none."""
+    if not isinstance(row, dict):
+        return None
+    ident = [f"{f}={row[f]}" for f in IDENTITY_FIELDS if f in row]
+    return "[" + ",".join(ident) + "]" if ident else None
+
+
+def row_keys(rows):
+    """Identity keys of a list's rows when they name every row uniquely,
+    else index keys."""
+    keys = [identity_key(row) for row in rows]
+    if None not in keys and len(set(keys)) == len(keys):
+        return keys
+    return [f"[{i}]" for i in range(len(rows))]
 
 
 def flatten(node, prefix=""):
@@ -69,8 +85,8 @@ def flatten(node, prefix=""):
             path = f"{prefix}.{key}" if prefix else key
             out.update(flatten(value, path))
     elif isinstance(node, list):
-        for i, value in enumerate(node):
-            out.update(flatten(value, prefix + row_key(value, i)))
+        for key, value in zip(row_keys(node), node):
+            out.update(flatten(value, prefix + key))
     else:
         out[prefix] = node
     return out
@@ -79,6 +95,8 @@ def flatten(node, prefix=""):
 def direction(path):
     """+1 when a larger value is better, -1 when smaller is, 0 unknown."""
     name = re.split(r"[.\]]", path)[-1]
+    if NO_DIRECTION.search(name):
+        return 0
     if HIGHER_IS_BETTER.search(name):
         return 1
     if LOWER_IS_BETTER.search(name):

@@ -39,6 +39,17 @@ class Direction(unittest.TestCase):
         self.assertEqual(verdicts({"rounds_run": 10}, {"rounds_run": 20}),
                          {"rounds_run": "DRIFT"})
 
+    def test_names_the_fragments_misread_have_no_direction(self):
+        # edge_bytes grows with offload; *_samples and input sizes are
+        # counts, not costs.
+        for name in ("edge_bytes", "latency_samples", "symbol_bytes",
+                     "cache_bytes_used"):
+            self.assertEqual(verdicts({name: 10}, {name: 20}),
+                             {name: "DRIFT"}, name)
+        self.assertEqual(verdicts({"backhaul_bytes": 10},
+                                  {"backhaul_bytes": 20}),
+                         {"backhaul_bytes": "WORSE"})
+
 
 class Identity(unittest.TestCase):
     def test_rows_are_matched_by_identity_fields(self):
@@ -49,6 +60,23 @@ class Identity(unittest.TestCase):
         got = verdicts(base, [{"driver": "sim", "loss": 0.5, "p50": 4.0}])
         self.assertEqual(set(got.values()), {"removed"})
         self.assertTrue(all("loss=0.0" in path for path in got))
+
+    def test_every_row_is_compared_when_identities_repeat(self):
+        # BENCH_cache's shape: several rows per section. Without the
+        # capacity column the identities collide, so keys fall back to
+        # the index and no row overwrites another.
+        base = [{"section": s, "policy": "popularity", "hit_rate": 0.5}
+                for s in ("event", "event", "event", "udp", "udp")]
+        cur = [dict(row, hit_rate=0.1) for row in base]
+        got = verdicts(base, cur)
+        self.assertEqual(len(got), len(base))
+        self.assertEqual(set(got.values()), {"WORSE"})
+        # With capacity_frac the rows name themselves again.
+        for i, row in enumerate(base + cur):
+            row["capacity_frac"] = (i % len(base)) / 4
+        got = verdicts(base, cur)
+        self.assertEqual(len(got), len(base))
+        self.assertTrue(all("capacity_frac=" in path for path in got))
 
     def test_rows_without_identity_fall_back_to_index(self):
         flat = diff_bench.flatten({"rows": [{"x": 1}, {"x": 2}]})
