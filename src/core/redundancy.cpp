@@ -77,13 +77,12 @@ void RedundancyDetector::register_key(PacketId id, const BitVector& coeffs) {
 }
 
 void RedundancyDetector::unregister_key(PacketId id) {
-  const std::uint64_t* key = packet_key_.find(id);
-  if (key == nullptr) return;
-  const std::uint64_t triple = *key;
-  packet_key_.erase(id);
-  std::uint32_t* avail = available3_.find(triple);
-  LTNC_DCHECK(avail != nullptr);
-  if (--*avail == 0) available3_.erase(triple);
+  const auto it = packet_key_.find(id);
+  if (it == packet_key_.end()) return;
+  const auto avail = available3_.find(it->second);
+  LTNC_DCHECK(avail != available3_.end());
+  if (--avail->second == 0) available3_.erase(avail);
+  packet_key_.erase(it);
 }
 
 void RedundancyDetector::on_stored(PacketId id, const BitVector& coeffs,

@@ -15,9 +15,9 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <unordered_map>
 
 #include "common/bitvector.hpp"
-#include "common/flat_map.hpp"
 #include "common/types.hpp"
 #include "core/components.hpp"
 
@@ -50,10 +50,10 @@ class RedundancyDetector {
   const ComponentTracker& components_;
   /// Packed native triple -> number of live degree-3 packets with exactly
   /// those coefficients.
-  FlatMap<std::uint32_t> available3_;
+  std::unordered_map<std::uint64_t, std::uint32_t> available3_;
   /// PacketId -> its registered triple key (so removal survives the
   /// coefficient changes belief propagation applies).
-  FlatMap<std::uint64_t> packet_key_;
+  std::unordered_map<PacketId, std::uint64_t> packet_key_;
   mutable std::uint64_t checks_ = 0;
   mutable std::uint64_t hits_ = 0;
 };
